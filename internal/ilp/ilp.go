@@ -206,6 +206,9 @@ type node struct {
 	patchVar int // -1 for the root
 	lo, up   float64
 	parent   *lp.Basis
+	// lastUse marks the sibling solved second, after which nothing reads
+	// parent again and the search recycles it (see SolveCtx).
+	lastUse bool
 }
 
 // applied records one in-effect bound patch so backtracking can undo it.
@@ -267,6 +270,14 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 	}
 	stack := []node{{patchVar: -1, parent: rootHint}}
 	var path []applied
+	// free recycles branching snapshots. A node's basis is read only as its
+	// two children's warm hint, and the stack is LIFO, so the child pushed
+	// first is always solved last; after it, the basis goes back here for
+	// a later capture to overwrite. The root's basis escapes as
+	// Result.RootBasis and the caller's RootBasis hint is not ours, so
+	// neither is ever recycled. An empty list refills in doubling batches.
+	var free []*lp.Basis
+	batch := 4
 	res := &Result{Status: Infeasible}
 	var sol lp.Solution
 	var bestObj = math.Inf(1)
@@ -308,12 +319,17 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 		if err := prep.SolveBounds(ctx, lower, upper, warm, &sol); err != nil {
 			return nil, err
 		}
+		if nd.lastUse {
+			free = append(free, nd.parent)
+		}
 		res.Pivots += sol.Iterations
 		if sol.Warm {
 			res.WarmHits++
 		}
 		tr.tick(res)
 		if nd.patchVar < 0 && sol.Status == lp.Optimal && warmStart {
+			// Captured once: it is both the cross-solve hint and the root
+			// children's warm start.
 			res.RootBasis = prep.CaptureBasis()
 		}
 		if nd.patchVar < 0 && sol.Status == lp.Infeasible {
@@ -369,17 +385,29 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 		}
 		// Branch: explore the side nearest the fractional value first
 		// (pushed last so it pops first). Both children share the parent's
-		// terminal basis for the warm restore.
+		// terminal basis for the warm restore; at the root that is the
+		// RootBasis snapshot already taken.
 		var pb *lp.Basis
-		if warmStart {
-			pb = prep.CaptureBasis()
+		switch {
+		case nd.patchVar < 0:
+			pb = res.RootBasis // nil without warm starts
+		case warmStart:
+			if len(free) == 0 {
+				batch *= 2
+				free = prep.NewBases(batch)
+			}
+			pb = prep.CaptureBasisInto(free[len(free)-1])
+			free = free[:len(free)-1]
 		}
+		recycle := pb != nil && nd.patchVar >= 0
 		v := sol.X[branch]
 		lowChild := node{depth: nd.depth + 1, patchVar: branch, lo: lower[branch], up: math.Floor(v), parent: pb}
 		highChild := node{depth: nd.depth + 1, patchVar: branch, lo: math.Ceil(v), up: upper[branch], parent: pb}
 		if v-math.Floor(v) < 0.5 {
+			highChild.lastUse = recycle
 			stack = append(stack, highChild, lowChild)
 		} else {
+			lowChild.lastUse = recycle
 			stack = append(stack, lowChild, highChild)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -214,5 +215,59 @@ func TestCaptureBasisAfterRelease(t *testing.T) {
 	var sol Solution
 	if err := pr.SolveBounds(context.Background(), nil, nil, nil, &sol); err == nil {
 		t.Fatal("SolveBounds after Release should fail")
+	}
+}
+
+// TestCaptureBasisIntoReuses pins the recycling path: capturing into a
+// shaped snapshot reuses it, without allocating, and records exactly what
+// CaptureBasis records; an uncaptured snapshot from NewBases is never
+// accepted as a warm start; a mis-shaped one is replaced, not overwritten.
+func TestCaptureBasisIntoReuses(t *testing.T) {
+	p := NewProblem(2)
+	p.Upper[0], p.Upper[1] = 6, 6
+	p.AddRow([]float64{1, 1}, EQ, 10)
+	pr, err := Prepare(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Release()
+	ctx := context.Background()
+	var sol Solution
+	tight := []float64{2, 6}
+	// An empty snapshot must not warm-start anything.
+	empty := pr.NewBases(1)[0]
+	if err := pr.SolveBounds(ctx, []float64{0, 0}, tight, empty, &sol); err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Infeasible || sol.Warm {
+		t.Fatalf("uncaptured snapshot: status %v warm %v, want a cold Infeasible", sol.Status, sol.Warm)
+	}
+	if err := pr.SolveBounds(ctx, nil, nil, nil, &sol); err != nil {
+		t.Fatal(err)
+	}
+	want := pr.CaptureBasis().Snapshot()
+	dst := pr.NewBases(2)[1]
+	var got *Basis
+	if a := testing.AllocsPerRun(10, func() { got = pr.CaptureBasisInto(dst) }); a != 0 {
+		t.Fatalf("CaptureBasisInto allocated %v objects, want 0", a)
+	}
+	if got != dst {
+		t.Fatal("CaptureBasisInto did not reuse a shaped snapshot")
+	}
+	if !reflect.DeepEqual(got.Snapshot(), want) {
+		t.Fatalf("CaptureBasisInto recorded %+v, CaptureBasis %+v", got.Snapshot(), want)
+	}
+	if err := pr.SolveBounds(ctx, []float64{0, 0}, tight, got, &sol); err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Infeasible || !sol.Warm {
+		t.Fatalf("recycled snapshot: status %v warm %v, want a warm Infeasible", sol.Status, sol.Warm)
+	}
+	if err := pr.SolveBounds(ctx, nil, nil, nil, &sol); err != nil {
+		t.Fatal(err)
+	}
+	odd := &Basis{cols: make([]int, 1)}
+	if b := pr.CaptureBasisInto(odd); b == odd || b == nil {
+		t.Fatal("CaptureBasisInto overwrote a snapshot of another shape")
 	}
 }

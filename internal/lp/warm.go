@@ -25,8 +25,9 @@ package lp
 // status of every nonbasic column, and the artificial column signs chosen by
 // the solve that produced it. Capture one with Prepared.CaptureBasis after a
 // solve and pass it to SolveBounds on a related problem (same row and column
-// counts) to enable the warm restore. A Basis is immutable and safe to share
-// across goroutines; restoring it never mutates it.
+// counts) to enable the warm restore. Restoring a Basis never mutates it, so
+// one is safe to share across goroutines; only CaptureBasisInto overwrites
+// one, at its owner's request.
 type Basis struct {
 	cols     []int
 	status   []varStatus
@@ -43,32 +44,72 @@ type Basis struct {
 // SolveBounds on this Prepared. It returns nil if the last solve did not end
 // at an optimal basis (or the scratch has since been disturbed), so callers
 // can pass the result straight through as an optional warm hint.
-func (pr *Prepared) CaptureBasis() *Basis {
+func (pr *Prepared) CaptureBasis() *Basis { return pr.CaptureBasisInto(nil) }
+
+// CaptureBasisInto is CaptureBasis writing into dst's storage when dst has
+// this problem's shape (see NewBases), so a caller that recycles snapshots
+// stops allocating one per capture. It returns the snapshot (dst itself, or
+// a fresh Basis when dst is nil or mis-shaped), or nil with dst untouched
+// when there is nothing to capture. The caller must own dst outright:
+// overwriting a Basis that a pending solve still holds as its warm hint
+// would restore the wrong basis.
+func (pr *Prepared) CaptureBasisInto(dst *Basis) *Basis {
 	if pr.released || pr.liveID == 0 {
 		return nil
 	}
 	st := &pr.st
-	b := &Basis{
-		cols:    append([]int(nil), st.basis...),
-		status:  append([]varStatus(nil), st.status...),
-		artSign: make([]float64, pr.m),
-		m:       pr.m,
-		ncols:   pr.ncols,
-		liveID:  pr.liveID,
+	b := dst
+	if b == nil || len(b.cols) != pr.m || len(b.status) != pr.ncols {
+		b = &Basis{
+			cols:    make([]int, pr.m),
+			status:  make([]varStatus, pr.ncols),
+			artSign: make([]float64, pr.m),
+		}
 	}
+	b.m, b.ncols = pr.m, pr.ncols
+	copy(b.cols, st.basis)
+	copy(b.status, st.status)
 	for i := 0; i < pr.m; i++ {
 		b.artSign[i] = st.cols[pr.n+pr.m+i].val[0]
 	}
+	b.liveID = pr.liveID
 	pr.lastCaptured = b
 	return b
 }
 
-// maxRestorePivots caps the dual restore. Restore pivots are cheap (O(m)
-// incremental value updates, no refactorization), but an attempt that has
-// not certified infeasibility after this many is unlikely to beat the cold
-// solve it would have to fall back to anyway. 64 keeps >95% of observed
-// certificates on the PTAS workloads while bounding the waste on feasible
-// children.
+// NewBases returns k snapshots shaped for this Prepared's problem, for a
+// caller that recycles them through CaptureBasisInto. They share storage
+// carved from a constant number of allocations, so refilling a free list in
+// doubling batches costs allocations logarithmic in the number of snapshots
+// ever live at once. Until captured into, a snapshot has no shape, so no
+// warm restore accepts it.
+func (pr *Prepared) NewBases(k int) []*Basis {
+	m, nc := pr.m, pr.ncols
+	bs := make([]Basis, k)
+	out := make([]*Basis, k)
+	cols := make([]int, k*m)
+	status := make([]varStatus, k*nc)
+	art := make([]float64, k*m)
+	for i := range bs {
+		bs[i] = Basis{
+			cols:    cols[i*m : (i+1)*m : (i+1)*m],
+			status:  status[i*nc : (i+1)*nc : (i+1)*nc],
+			artSign: art[i*m : (i+1)*m : (i+1)*m],
+		}
+		out[i] = &bs[i]
+	}
+	return out
+}
+
+// maxRestorePivots caps the dual restore. A restore pivot is not cheap: it
+// prices every nonbasic column against a row of B⁻¹ (O(nnz)) and updates the
+// basis inverse with an O(m²) eta step, and a restore that cannot take the
+// live fast path first refactors the basis with an O(m³) Gauss–Jordan
+// elimination. On the PTAS deck the restore is about a quarter of a
+// branching cell's CPU. An attempt that has not certified infeasibility
+// after this many pivots is unlikely to beat the cold solve it would have to
+// fall back to anyway. 64 keeps >95% of observed certificates on the PTAS
+// workloads while bounding the waste on feasible children.
 const maxRestorePivots = 64
 
 // tryWarmInfeasible runs the verdict-only dual-simplex restore described in

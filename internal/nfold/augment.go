@@ -58,24 +58,19 @@ func (o *AugmentOptions) defaults() AugmentOptions {
 	return out
 }
 
-// move is a bounded-support change within a single brick.
-type move struct {
-	cols  []int
-	coefs []int64
+// moveSlab is one brick shape's move set with its constraint effects, stored
+// flat. Move m adds coefs[off[m]:off[m+1]] to the columns cols[off[m]:off[m+1]];
+// its global effect A_i·g is gval at rows gidx over [goff[m], goff[m+1]) and
+// its local effect B_i·g is lval at rows lidx over [loff[m], loff[m+1]), rows
+// ascending. Moves come in ± pairs (indices 2k and 2k+1). A slab costs three
+// allocations however many moves it holds, and is immutable once built.
+type moveSlab struct {
+	off, goff, loff   []int32
+	cols, gidx, lidx  []int32
+	coefs, gval, lval []int64
 }
 
-// sparseVec is a sparse integer vector (row index -> value).
-type sparseVec struct {
-	idx []int32
-	val []int64
-}
-
-// brickMoves holds a brick's move set with precomputed constraint effects.
-type brickMoves struct {
-	moves []move
-	geff  []sparseVec // A_i·g per move
-	leff  []sparseVec // B_i·g per move
-}
+func (s *moveSlab) numMoves() int { return len(s.off) - 1 }
 
 // augState is the engine's working state.
 type augState struct {
@@ -83,7 +78,7 @@ type augState struct {
 	x     [][]int64
 	gres  []int64   // global residuals: GlobalRHS − Σ A_i x_i
 	lres  [][]int64 // local residuals per brick
-	bm    []*brickMoves
+	bm    []*moveSlab
 	steps int
 	// ctx is polled at descent-iteration boundaries and inside the long
 	// per-brick scans, so cancellation latency is bounded by one brick's
@@ -116,129 +111,208 @@ func gcd64(a, b int64) int64 {
 	return a
 }
 
-// enumerateMoves builds the per-brick move set with cached sparse effects.
-// Bricks sharing block backing arrays share the enumeration and effects;
-// with a Template, the sharing extends across every solve of the family
-// (the PTAS guess probes reuse block arrays across guesses, so a whole
-// search enumerates each distinct brick shape exactly once).
-func enumerateMoves(p *Problem, opt AugmentOptions, tmpl *Template) []*brickMoves {
-	cache := make(map[brickCacheKey]*brickMoves)
-	out := make([]*brickMoves, p.N)
+// enumerateMoves builds the per-brick move sets with their effects.
+// Bricks sharing block backing arrays share one slab; with a Template, the
+// sharing extends across every solve of the family (the PTAS guess probes
+// reuse block arrays across guesses, so a whole search enumerates each
+// distinct brick shape exactly once).
+func enumerateMoves(p *Problem, opt AugmentOptions, tmpl *Template) []*moveSlab {
+	cache := make(map[brickCacheKey]*moveSlab)
+	out := make([]*moveSlab, p.N)
 	for i := 0; i < p.N; i++ {
 		ck := cacheKey(p, i, opt)
-		if bm, ok := cache[ck]; ok {
-			out[i] = bm
-			continue
-		}
-		if tmpl != nil {
+		s := cache[ck]
+		if s == nil && tmpl != nil {
 			if v, ok := tmpl.moves.Load(ck); ok {
-				bm := v.(*brickMoves)
-				cache[ck] = bm
-				out[i] = bm
+				s = v.(*moveSlab)
+			}
+		}
+		if s == nil {
+			s = buildSlab(p, i, opt)
+			if tmpl != nil {
+				// Concurrent probes may race to build the same shape; the
+				// first slab published wins and every probe adopts it, so
+				// the family keeps one copy.
+				v, _ := tmpl.moves.LoadOrStore(ck, s)
+				s = v.(*moveSlab)
+			}
+		}
+		cache[ck] = s
+		out[i] = s
+	}
+	return out
+}
+
+// slabEnumerator enumerates brick i's moves. buildSlab runs the enumeration
+// twice: a sizing pass (s nil) that only counts entries, then a filling pass
+// into a slab allocated at exactly the counted size.
+type slabEnumerator struct {
+	p        *Problem
+	i        int
+	opt      AugmentOptions
+	slackFor []int   // per column, the global row it is the slack of, or -1
+	rowCol   []int   // per global row, its first slack column, or -1
+	bcol     []int64 // B_i column-major: column j is bcol[j*S : (j+1)*S]
+	cols     []int32 // scratch for the move being emitted
+	coefs    []int64
+
+	s              *moveSlab
+	nm, nc, ng, nl int
+}
+
+func buildSlab(p *Problem, i int, opt AugmentOptions) *moveSlab {
+	sb := slabEnumerator{
+		p: p, i: i, opt: opt,
+		slackFor: findSlackColumns(p, i),
+		rowCol:   make([]int, p.R),
+		bcol:     make([]int64, p.T*p.S),
+		cols:     make([]int32, p.R+2),
+		coefs:    make([]int64, p.R+2),
+	}
+	for k := range sb.rowCol {
+		sb.rowCol[k] = -1
+	}
+	for j, r := range sb.slackFor {
+		if r >= 0 && sb.rowCol[r] == -1 {
+			sb.rowCol[r] = j
+		}
+	}
+	for j := 0; j < p.T; j++ {
+		for r := 0; r < p.S; r++ {
+			sb.bcol[j*p.S+r] = p.B[i][r][j]
+		}
+	}
+	sb.walk()
+	nm, nc, ng, nl := sb.nm, sb.nc, sb.ng, sb.nl
+	i32 := make([]int32, 3*(nm+1)+nc+ng+nl)
+	i64 := make([]int64, nc+ng+nl)
+	cut32 := func(n int) []int32 {
+		out := i32[:n:n]
+		i32 = i32[n:]
+		return out
+	}
+	cut64 := func(n int) []int64 {
+		out := i64[:n:n]
+		i64 = i64[n:]
+		return out
+	}
+	sb.s = &moveSlab{
+		off: cut32(nm + 1), goff: cut32(nm + 1), loff: cut32(nm + 1),
+		cols: cut32(nc), gidx: cut32(ng), lidx: cut32(nl),
+		coefs: cut64(nc), gval: cut64(ng), lval: cut64(nl),
+	}
+	sb.nm, sb.nc, sb.ng, sb.nl = 0, 0, 0, 0
+	sb.walk()
+	return sb.s
+}
+
+// walk emits the move set in its canonical order: singles, slack-completed
+// columns, then kernel swaps, each as a ± pair.
+func (sb *slabEnumerator) walk() {
+	p, i := sb.p, sb.i
+	for j := 0; j < p.T; j++ {
+		sb.cols[0], sb.coefs[0] = int32(j), 1
+		sb.addPair(1)
+	}
+	// Slack-completed column moves: configuration ILPs pair structural
+	// columns with slack columns via rows like "z + (b−c)x + s = 0"; a unit
+	// structural step is only ever useful together with the matching
+	// multi-unit slack adjustment, which is a genuine Graver element the
+	// support-2 swap enumeration cannot reach (the slack coefficient can be
+	// large). For every global row served by a dedicated slack column (±1 in
+	// exactly that row, absent from B), complete each structural column's
+	// effect on that row.
+	for j := 0; j < p.T; j++ {
+		if sb.slackFor[j] != -1 {
+			continue // j is itself a slack column
+		}
+		sb.cols[0], sb.coefs[0] = int32(j), 1
+		q := 1
+		for k := 0; k < p.R; k++ {
+			a := p.A[i][k][j]
+			if a == 0 {
 				continue
 			}
-		}
-		var ms []move
-		for j := 0; j < p.T; j++ {
-			ms = append(ms,
-				move{cols: []int{j}, coefs: []int64{1}},
-				move{cols: []int{j}, coefs: []int64{-1}},
-			)
-		}
-		// Slack-completed column moves: configuration ILPs pair structural
-		// columns with slack columns via rows like "z + (b−c)x + s = 0";
-		// a unit structural step is only ever useful together with the
-		// matching multi-unit slack adjustment, which is a genuine Graver
-		// element the support-2 swap enumeration cannot reach (the slack
-		// coefficient can be large). For every global row served by a
-		// dedicated slack column (±1 in exactly that row, absent from B),
-		// complete each structural column's effect on that row.
-		slackFor := findSlackColumns(p, i)
-		rowCol := make([]int, p.R)
-		for k := range rowCol {
-			rowCol[k] = -1
-		}
-		for j, r := range slackFor {
-			if r >= 0 && rowCol[r] == -1 {
-				rowCol[r] = j
+			if sc := sb.rowCol[k]; sc >= 0 && sc != j {
+				sb.cols[q], sb.coefs[q] = int32(sc), -a*p.A[i][k][sc]
+				q++
 			}
 		}
-		for j := 0; j < p.T; j++ {
-			if slackFor[j] != -1 {
-				continue // j is itself a slack column
-			}
-			var cols []int
-			var coefs []int64
-			ok := false
-			for k := 0; k < p.R; k++ {
-				a := p.A[i][k][j]
-				if a == 0 {
-					continue
-				}
-				if sc := rowCol[k]; sc >= 0 && sc != j {
-					cols = append(cols, sc)
-					coefs = append(coefs, -a*p.A[i][k][sc])
-					ok = true
-				}
-			}
+		if q > 1 {
+			sb.addPair(q)
+		}
+	}
+	// Kernel swaps among parallel B-columns.
+	swaps := 0
+	for j1 := 0; j1 < p.T && swaps < sb.opt.MaxSwapsPerBrick; j1++ {
+		for j2 := j1 + 1; j2 < p.T; j2++ {
+			a, b, ok := parallelCoeffs(sb.bcol[j1*p.S:(j1+1)*p.S], sb.bcol[j2*p.S:(j2+1)*p.S], sb.opt.MaxCoeff)
 			if !ok {
 				continue
 			}
-			cols = append([]int{j}, cols...)
-			coefs = append([]int64{1}, coefs...)
-			neg := make([]int64, len(coefs))
-			for x := range coefs {
-				neg[x] = -coefs[x]
-			}
-			ms = append(ms,
-				move{cols: cols, coefs: coefs},
-				move{cols: cols, coefs: neg},
-			)
-		}
-		// Kernel swaps among parallel B-columns.
-		bcol := make([][]int64, p.T)
-		for j := 0; j < p.T; j++ {
-			col := make([]int64, p.S)
-			for r := 0; r < p.S; r++ {
-				col[r] = p.B[i][r][j]
-			}
-			bcol[j] = col
-		}
-		swaps := 0
-	pairLoop:
-		for j1 := 0; j1 < p.T && swaps < opt.MaxSwapsPerBrick; j1++ {
-			for j2 := j1 + 1; j2 < p.T; j2++ {
-				a, b, ok := parallelCoeffs(bcol[j1], bcol[j2], opt.MaxCoeff)
-				if !ok {
-					continue
-				}
-				ms = append(ms,
-					move{cols: []int{j1, j2}, coefs: []int64{a, -b}},
-					move{cols: []int{j1, j2}, coefs: []int64{-a, b}},
-				)
-				swaps++
-				if swaps >= opt.MaxSwapsPerBrick {
-					break pairLoop
-				}
+			sb.cols[0], sb.cols[1] = int32(j1), int32(j2)
+			sb.coefs[0], sb.coefs[1] = a, -b
+			sb.addPair(2)
+			swaps++
+			if swaps >= sb.opt.MaxSwapsPerBrick {
+				return
 			}
 		}
-		bm := &brickMoves{moves: ms}
-		bm.geff = make([]sparseVec, len(ms))
-		bm.leff = make([]sparseVec, len(ms))
-		for mi, g := range ms {
-			bm.geff[mi] = sparseEffect(p.A[i], g)
-			bm.leff[mi] = sparseEffect(p.B[i], g)
-		}
-		cache[ck] = bm
-		if tmpl != nil {
-			// Concurrent probes may race to compute the same block's moves;
-			// enumeration is deterministic, so either value is identical and
-			// last-write-wins is safe.
-			tmpl.moves.Store(ck, bm)
-		}
-		out[i] = bm
 	}
-	return out
+}
+
+// addPair emits the move g = (cols[:q], coefs[:q]) and its inverse −g. The
+// inverse's effects are g's negated (exactly, even under wraparound), so
+// each pair costs one dot product per row.
+func (sb *slabEnumerator) addPair(q int) {
+	cols, coefs := sb.cols[:q], sb.coefs[:q]
+	a, b := sb.p.A[sb.i], sb.p.B[sb.i]
+	m, nc, ng, nl := sb.nm, sb.nc, sb.ng, sb.nl
+	var dg, dl int
+	if s := sb.s; s == nil {
+		dg = effect(a, cols, coefs, nil, nil)
+		dl = effect(b, cols, coefs, nil, nil)
+	} else {
+		dg = effect(a, cols, coefs, s.gidx[ng:], s.gval[ng:])
+		dl = effect(b, cols, coefs, s.lidx[nl:], s.lval[nl:])
+		copy(s.cols[nc:], cols)
+		copy(s.coefs[nc:], coefs)
+		negate(s.cols[nc+q:], s.coefs[nc+q:], cols, coefs)
+		negate(s.gidx[ng+dg:], s.gval[ng+dg:], s.gidx[ng:ng+dg], s.gval[ng:ng+dg])
+		negate(s.lidx[nl+dl:], s.lval[nl+dl:], s.lidx[nl:nl+dl], s.lval[nl:nl+dl])
+		s.off[m+1], s.off[m+2] = int32(nc+q), int32(nc+2*q)
+		s.goff[m+1], s.goff[m+2] = int32(ng+dg), int32(ng+2*dg)
+		s.loff[m+1], s.loff[m+2] = int32(nl+dl), int32(nl+2*dl)
+	}
+	sb.nm, sb.nc, sb.ng, sb.nl = m+2, nc+2*q, ng+2*dg, nl+2*dl
+}
+
+// effect computes block·g for the move g = (cols, coefs), writing its
+// nonzero rows in ascending order into idx and val (or only counting them
+// when idx is nil), and returns their number.
+func effect(block [][]int64, cols []int32, coefs []int64, idx []int32, val []int64) int {
+	n := 0
+	for k, row := range block {
+		var dot int64
+		for x, j := range cols {
+			dot += row[j] * coefs[x]
+		}
+		if dot != 0 {
+			if idx != nil {
+				idx[n], val[n] = int32(k), dot
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// negate writes the entries (idx, −val) into dstIdx and dstVal.
+func negate(dstIdx []int32, dstVal []int64, idx []int32, val []int64) {
+	copy(dstIdx, idx)
+	for x, v := range val {
+		dstVal[x] = -v
+	}
 }
 
 // findSlackColumns identifies slack columns of brick i: columns appearing
@@ -270,22 +344,6 @@ func findSlackColumns(p *Problem, i int) []int {
 		}
 	}
 	return out
-}
-
-func sparseEffect(block [][]int64, g move) sparseVec {
-	var sv sparseVec
-	for k := range block {
-		var dot int64
-		row := block[k]
-		for idx, j := range g.cols {
-			dot += row[j] * g.coefs[idx]
-		}
-		if dot != 0 {
-			sv.idx = append(sv.idx, int32(k))
-			sv.val = append(sv.val, dot)
-		}
-	}
-	return sv
 }
 
 // brickCacheKey identifies a brick's move set by the identity of its block
@@ -414,10 +472,10 @@ func (st *augState) residualNorm() int64 {
 
 // maxStep returns the largest λ ≥ 0 such that x_i + λ·g stays in the box.
 func (st *augState) maxStep(i, mi int) int64 {
-	g := &st.bm[i].moves[mi]
+	s := st.bm[i]
 	lim := int64(1) << 40
-	for idx, j := range g.cols {
-		c := g.coefs[idx]
+	for x := s.off[mi]; x < s.off[mi+1]; x++ {
+		j, c := s.cols[x], s.coefs[x]
 		if c > 0 {
 			if l := (st.p.Upper[i][j] - st.x[i][j]) / c; l < lim {
 				lim = l
@@ -434,35 +492,31 @@ func (st *augState) maxStep(i, mi int) int64 {
 // improvement computes the residual-norm reduction of applying λ·g in brick
 // i (positive is better).
 func (st *augState) improvement(i, mi int, lambda int64) int64 {
-	bm := st.bm[i]
+	s := st.bm[i]
 	var delta int64
-	ge := bm.geff[mi]
-	for k, ri := range ge.idx {
-		old := st.gres[ri]
-		delta += abs64(old) - abs64(old-lambda*ge.val[k])
+	for x := s.goff[mi]; x < s.goff[mi+1]; x++ {
+		old := st.gres[s.gidx[x]]
+		delta += abs64(old) - abs64(old-lambda*s.gval[x])
 	}
-	le := bm.leff[mi]
-	for k, ri := range le.idx {
-		old := st.lres[i][ri]
-		delta += abs64(old) - abs64(old-lambda*le.val[k])
+	lres := st.lres[i]
+	for x := s.loff[mi]; x < s.loff[mi+1]; x++ {
+		old := lres[s.lidx[x]]
+		delta += abs64(old) - abs64(old-lambda*s.lval[x])
 	}
 	return delta
 }
 
 // apply commits λ·g in brick i.
 func (st *augState) apply(i, mi int, lambda int64) {
-	bm := st.bm[i]
-	g := &bm.moves[mi]
-	for idx, j := range g.cols {
-		st.x[i][j] += lambda * g.coefs[idx]
+	s := st.bm[i]
+	for x := s.off[mi]; x < s.off[mi+1]; x++ {
+		st.x[i][s.cols[x]] += lambda * s.coefs[x]
 	}
-	ge := bm.geff[mi]
-	for k, ri := range ge.idx {
-		st.gres[ri] -= lambda * ge.val[k]
+	for x := s.goff[mi]; x < s.goff[mi+1]; x++ {
+		st.gres[s.gidx[x]] -= lambda * s.gval[x]
 	}
-	le := bm.leff[mi]
-	for k, ri := range le.idx {
-		st.lres[i][ri] -= lambda * le.val[k]
+	for x := s.loff[mi]; x < s.loff[mi+1]; x++ {
+		st.lres[i][s.lidx[x]] -= lambda * s.lval[x]
 	}
 	st.steps++
 }
@@ -492,8 +546,7 @@ func (st *augState) scanRange(ctx context.Context, from, to int) scanRes {
 		if ctx.Err() != nil {
 			return best
 		}
-		bm := st.bm[i]
-		for mi := range bm.moves {
+		for mi, nm := 0, st.bm[i].numMoves(); mi < nm; mi++ {
 			lim := st.maxStep(i, mi)
 			if lim == 0 {
 				continue
@@ -610,7 +663,7 @@ func (st *augState) pairStep() bool {
 	}
 	var cands []cand
 	for i := 0; i < st.p.N; i++ {
-		for mi := range st.bm[i].moves {
+		for mi, nm := 0, st.bm[i].numMoves(); mi < nm; mi++ {
 			if st.maxStep(i, mi) == 0 {
 				continue
 			}
@@ -724,15 +777,14 @@ func (st *augState) objectiveDescend(ctx context.Context, opt AugmentOptions) {
 		}
 		improved := false
 		for i := 0; i < p.N && !improved; i++ {
-			bm := st.bm[i]
-			for mi := range bm.moves {
-				if len(bm.geff[mi].idx) != 0 || len(bm.leff[mi].idx) != 0 {
+			s := st.bm[i]
+			for mi, nm := 0, s.numMoves(); mi < nm; mi++ {
+				if s.goff[mi] != s.goff[mi+1] || s.loff[mi] != s.loff[mi+1] {
 					continue
 				}
 				var objDelta int64
-				g := &bm.moves[mi]
-				for idx, j := range g.cols {
-					objDelta += p.Obj[i][j] * g.coefs[idx]
+				for x := s.off[mi]; x < s.off[mi+1]; x++ {
+					objDelta += p.Obj[i][s.cols[x]] * s.coefs[x]
 				}
 				if objDelta >= 0 {
 					continue

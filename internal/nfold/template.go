@@ -18,7 +18,7 @@ import (
 // O(distinct blocks) cost instead of O(bricks × guesses). (Cross-probe
 // root-basis reuse was also tried here and removed: see solveBranchBound.)
 type Template struct {
-	moves sync.Map // brickCacheKey -> *brickMoves
+	moves sync.Map // brickCacheKey -> *moveSlab
 }
 
 // NewTemplate returns an empty template. Pass it via Options.Template to

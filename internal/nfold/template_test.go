@@ -1,6 +1,7 @@
 package nfold
 
 import (
+	"sync"
 	"testing"
 )
 
@@ -76,6 +77,33 @@ func TestMoveCacheSharesAcrossBricks(t *testing.T) {
 	for i := 1; i < p.N; i++ {
 		if bm3[i] != bm3[0] {
 			t.Fatalf("template-free enumeration lost within-solve sharing at brick %d", i)
+		}
+	}
+}
+
+// TestTemplateConcurrentEnumerationShares races two enumerations of the
+// same brick shape on one Template: both must come back with the one slab
+// the Template keeps, not each with its own copy.
+func TestTemplateConcurrentEnumerationShares(t *testing.T) {
+	opt := (&AugmentOptions{}).defaults()
+	for round := 0; round < 50; round++ {
+		p := buildSharedBlockProblem(2)
+		tmpl := NewTemplate()
+		var got [2]*moveSlab
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[w] = enumerateMoves(p, opt, tmpl)[0]
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got[0] != got[1] {
+			t.Fatalf("round %d: concurrent enumerations on one Template returned different move sets", round)
 		}
 	}
 }
